@@ -89,22 +89,6 @@ def test_warm_cache_regeneration(benchmark, easybiz):
     benchmark(warm)
 
 
-def test_parallel_generation_matches_serial(benchmark, easybiz):
-    """--jobs 4 builds the library DAG concurrently, byte-identical output."""
-    serial = SchemaGenerator(easybiz.model).generate(easybiz.doc_library, root="HoardingPermit")
-    options = GenerationOptions(jobs=4)
-
-    def parallel():
-        return SchemaGenerator(easybiz.model, options).generate(
-            easybiz.doc_library, root="HoardingPermit"
-        )
-
-    result = benchmark(parallel)
-    serial_schemas = {urn: schema_to_string(g.schema) for urn, g in serial.schemas.items()}
-    parallel_schemas = {urn: schema_to_string(g.schema) for urn, g in result.schemas.items()}
-    assert parallel_schemas == serial_schemas
-
-
 def test_validate_valid_message(benchmark, pipeline):
     """Validation throughput on a conformant hoarding-permit message."""
     schema_set, generator = pipeline

@@ -156,7 +156,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         target_directory=Path(args.out) if args.out and syntax == "xsd" else None,
         use_cache=args.use_cache or bool(args.cache_dir),
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        jobs=max(1, args.jobs),
         on_error="collect" if args.keep_going else "raise",
         embed_provenance=args.embed_provenance,
     )
@@ -474,7 +473,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     options = GenerationOptions(
         validate_first=False,
         use_cache=args.use_cache,
-        jobs=max(1, args.jobs),
     )
     runs = max(1, args.runs)
 
@@ -614,7 +612,6 @@ def _cmd_validate_instances(args: argparse.Namespace) -> int:
     pipeline = ValidationPipeline(
         schema_set,
         engine=args.engine,
-        jobs=args.jobs,
         fail_fast=args.fail_fast,
     )
     report = pipeline.run(args.corpus)
@@ -708,14 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         "schemas across processes (implies --use-cache)",
     )
     generate.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="build independent libraries on up to N threads (default 1; "
-        "output is byte-identical to a serial run)",
-    )
-    generate.add_argument(
         "--keep-going",
         action="store_true",
         help="on a library build failure, keep building independent libraries "
@@ -795,9 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
         "corpus",
         help="corpus directory (*.xml, recursive), a single .xml file, "
         "or a manifest file listing one document path per line",
-    )
-    validate_instances.add_argument(
-        "--jobs", type=int, default=1, help="worker threads (default 1 = serial)"
     )
     validate_instances.add_argument(
         "--engine",
@@ -1015,10 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--runs", type=int, default=5,
         help="generation runs, one fresh generator each (default 5)",
-    )
-    profile.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="profile the parallel build path with N worker threads",
     )
     profile.add_argument(
         "--use-cache", action="store_true",

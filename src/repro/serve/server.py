@@ -189,6 +189,10 @@ class _Handler(BaseHTTPRequestHandler):
     """Connection-thread side: routing, framing, admission control."""
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: _send_bytes writes the headers and the body in two
+    # sends, and under Nagle the body waits for the client's delayed ACK
+    # (~40 ms per keep-alive response).
+    disable_nagle_algorithm = True
     # Backstop so an idle keep-alive (or dead) client can't pin its
     # connection thread forever -- drain joins these threads.
     timeout = 5

@@ -60,11 +60,13 @@ from repro.xsd.components import (
 )
 from repro.xsd.content_model import CompiledModel, DeterminizedModel, determinize
 from repro.xsd.validator import (
+    MAX_INSTANCE_DEPTH,
     SchemaSet,
     ValidationProblem,
     _IGNORED_ATTR_NAMESPACES,
     _ResolvedElement,
     _resolve_instance,
+    _too_deep,
 )
 from repro.xsd.writer import schema_to_string
 
@@ -211,6 +213,10 @@ def _intern_clark(name: str) -> QName:
     return qname
 
 
+class _TooDeep(Exception):
+    """:func:`_convert_tree` met an element past :data:`MAX_INSTANCE_DEPTH`."""
+
+
 def _parse_document(text: str) -> _Node:
     """Parse ``text`` into resolved nodes, matching the interpreted path.
 
@@ -220,7 +226,9 @@ def _parse_document(text: str) -> _Node:
     undeclared prefix -- ElementTree rejects the document outright where
     the interpreted resolver parses it and then reports the offending
     element -- so that case falls back to :func:`_parse_document_expat`,
-    which reproduces the interpreted behavior exactly.
+    which reproduces the interpreted behavior exactly.  So does a document
+    nested deeper than :data:`MAX_INSTANCE_DEPTH`: ElementTree keeps no
+    source positions, and the expat path reports where the limit broke.
     """
     try:
         root = ET.fromstring(text)
@@ -230,13 +238,18 @@ def _parse_document(text: str) -> _Node:
         raise InstanceValidationError(
             f"document is not well-formed XML: {error}"
         ) from error
-    return _convert_tree(root)
+    try:
+        return _convert_tree(root, 1)
+    except _TooDeep:
+        return _parse_document_expat(text)
 
 
 _NO_ATTRS: dict = {}
 
 
-def _convert_tree(element: "ET.Element") -> _Node:
+def _convert_tree(element: "ET.Element", depth: int) -> _Node:
+    if depth > MAX_INSTANCE_DEPTH:
+        raise _TooDeep
     node = _Node.__new__(_Node)
     attrib = element.attrib
     if attrib:
@@ -246,7 +259,7 @@ def _convert_tree(element: "ET.Element") -> _Node:
         # (the common case) share one empty dict.
         node.attributes = _NO_ATTRS
     node.qname = _intern_clark(element.tag)
-    children = [_convert_tree(child) for child in element]
+    children = [_convert_tree(child, depth + 1) for child in element]
     node.children = children
     text = element.text
     # Same text rules as the interpreted reader: only text before the
@@ -271,6 +284,8 @@ def _parse_document_expat(text: str) -> _Node:
     root_scope = _Scope({})
 
     def handle_start(tag: str, raw_attributes: list[str]) -> None:
+        if len(stack) == MAX_INSTANCE_DEPTH:
+            raise _too_deep(parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
         scope = stack[-1].scope if stack else root_scope
         plain: list[tuple[str, str]] | None = None
         new_map: dict[str | None, str] | None = None

@@ -42,6 +42,21 @@ _IGNORED_ATTR_NAMESPACES = (
 )
 
 
+#: Deepest element nesting an instance document may have (the root is
+#: level 1).  Both engines walk documents recursively, so a deeper
+#: document is rejected with a located error before validation instead of
+#: exhausting the interpreter's stack mid-batch.
+MAX_INSTANCE_DEPTH = 256
+
+
+def _too_deep(line: int | None, column: int | None) -> InstanceValidationError:
+    """The error both engines raise for the first start tag past the limit."""
+    where = f": line {line}, column {column}" if line is not None else ""
+    return InstanceValidationError(
+        f"document nests deeper than {MAX_INSTANCE_DEPTH} elements{where}"
+    )
+
+
 @dataclass(frozen=True)
 class ValidationProblem:
     """One validation finding: an element path plus a message."""
@@ -63,7 +78,11 @@ class _ResolvedElement:
     text: str
 
 
-def _resolve_instance(element: XmlElement, inherited: dict[str | None, str]) -> _ResolvedElement:
+def _resolve_instance(
+    element: XmlElement, inherited: dict[str | None, str], depth: int = 1
+) -> _ResolvedElement:
+    if depth > MAX_INSTANCE_DEPTH:
+        raise _too_deep(element.source_line, element.source_column)
     scope = dict(inherited)
     plain_attrs: list[tuple[str, str]] = []
     for name, value in element.attributes.items():
@@ -104,7 +123,9 @@ def _resolve_instance(element: XmlElement, inherited: dict[str | None, str]) -> 
     return _ResolvedElement(
         qname=QName(namespace, local),
         attributes=attributes,
-        children=[_resolve_instance(child, scope) for child in element.element_children],
+        children=[
+            _resolve_instance(child, scope, depth + 1) for child in element.element_children
+        ],
         text=element.text_content,
     )
 
@@ -236,12 +257,15 @@ class _Validator:
         self, element: _ResolvedElement, decl: ElementDecl, schema: Schema, path: str
     ) -> None:
         if decl.is_ref:
+            # Resolve in place instead of recursing: the walk already spends
+            # three frames per document level, and MAX_INSTANCE_DEPTH levels
+            # of a recursive type must fit the interpreter's stack.  The
+            # target is named, so it is never a reference itself.
             target = self.schema_set.find_global_element(decl.ref)
             if target is None:
                 self._report(path, f"dangling element reference {decl.ref.clark()}")
                 return
-            self.validate_element(element, target, self.schema_set.schema_for(decl.ref.namespace), path)
-            return
+            decl = target
         if decl.type is None:
             return  # anyType: accept anything
         self.validate_against_type(element, decl.type, path)

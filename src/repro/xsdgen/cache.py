@@ -13,7 +13,7 @@ subsystem:
   generated schema changes it.
 * :func:`library_dependencies` -- the libraries a library's schema will
   import, derived structurally (without generating).  The generator uses
-  it to topologically sort the library DAG for parallel builds.
+  it to order the library DAG for collect-mode builds.
 * :class:`GenerationCache` -- a thread-safe in-memory LRU of generated
   schemas, shareable across :class:`~repro.xsdgen.generator.SchemaGenerator`
   instances, with an optional persistent on-disk layer (``cache_dir``)
@@ -449,19 +449,6 @@ class GenerationCache:
             return entry
         self._misses.inc()
         return None
-
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` would hit, *without* counting a hit or miss.
-
-        Used by the generator's parallel scheduler to size the real work
-        (cache-miss-eligible libraries) before deciding between threads
-        and a serial run -- a planning peek, so it must not skew the
-        ``xsdgen.cache_hits``/``misses`` counters or the LRU order.
-        """
-        with self._lock:
-            if key in self._entries:
-                return True
-        return self.cache_dir is not None and self._disk_path(key).is_file()
 
     def put(self, entry: CachedGeneration) -> None:
         """Insert (or refresh) an entry; persists when disk is enabled."""

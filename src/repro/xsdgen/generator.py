@@ -7,20 +7,12 @@ resolves cross-library type references into imports with NDR-conformant
 prefixes.  :class:`SchemaBuilder` is the per-document working context the
 library builders write into.
 
-Concurrency: ``GenerationOptions.jobs > 1`` builds independent libraries
-in parallel.  The library dependency DAG is derived structurally
-(:func:`repro.xsdgen.cache.library_dependencies`), condensed into strongly
-connected components (cyclic BIE libraries build together on one thread),
-topologically ordered and scheduled on a ``ThreadPoolExecutor``.  Each
-library's schema is still built by exactly one thread, so the output is
-byte-identical to a serial run.
+A generator is used by one thread at a time (``upcc serve`` builds one per
+request); the caches it consults are the shared, locked parts.
 """
 
 from __future__ import annotations
 
-import contextvars
-import threading
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,12 +69,6 @@ _log = get_logger("repro.xsdgen")
 
 #: Memo key: (identity of the library package, resolved DOC root or None).
 _MemoKey = tuple[int, "str | None"]
-
-#: Library stereotypes that generate a schema document of their own --
-#: the only ones the parallel scheduler can hand to a worker thread.
-_SCHEMA_STEREOTYPES = frozenset(
-    {BIE_LIBRARY, CDT_LIBRARY, DOC_LIBRARY, ENUM_LIBRARY, QDT_LIBRARY}
-)
 
 
 @dataclass
@@ -404,11 +390,11 @@ class SchemaGenerator:
             self.cache = None
         self._generated: dict[_MemoKey, GeneratedSchema] = {}
         self._deps: dict[_MemoKey, list[_MemoKey]] = {}
-        self._building: dict[_MemoKey, tuple[int, threading.Event]] = {}
+        #: Keys whose build is in progress; meeting one again is a cycle.
+        self._building: set[_MemoKey] = set()
         #: Per-run failure records (collect mode) and the keys this run touched.
         self._failed: dict[_MemoKey, LibraryFailure] = {}
         self._run_keys: dict[_MemoKey, None] = {}
-        self._lock = threading.Lock()
         self._run_fingerprints: dict[_MemoKey, str] = {}
         self._fingerprint_context = FingerprintContext()
         self._libraries_by_name: dict[str, Library] | None = None
@@ -450,15 +436,7 @@ class SchemaGenerator:
                 # dependency graph: a failing library must not hide the
                 # independent libraries it would have discovered serially.
                 if collect:
-                    self._parallel_prebuild(library, root, max(1, self.options.jobs))
-                elif self.options.jobs > 1:
-                    if self._worth_prebuilding():
-                        self._parallel_prebuild(library, root, self.options.jobs)
-                    else:
-                        # The whole model holds fewer libraries than the
-                        # parallel threshold, so even dependency discovery
-                        # is overhead: build serially via ensure_library.
-                        counter("xsdgen.parallel_fallback").inc()
+                    self._prebuild(library, root)
                 root_namespace: str | None = None
                 try:
                     generated = self.ensure_library(library, root)
@@ -471,7 +449,7 @@ class SchemaGenerator:
                 else:
                     schemas = self._reachable_schemas(library, root)
             # Assemble the run's provenance index in sorted-URN order so
-            # serial, parallel and warm-cache runs index identically.
+            # cold, collect-mode and warm-cache runs index identically.
             provenance = ProvenanceIndex()
             for urn in sorted(schemas):
                 provenance.extend(schemas[urn].provenance)
@@ -558,69 +536,55 @@ class SchemaGenerator:
         so one generator serves ``generate(doclib, root="A")`` and
         ``generate(doclib, root="B")`` distinct schemas.  Cyclic library
         references are legal: the namespace facts needed by importers are
-        computed before the schema body, so re-entrant calls on the same
-        thread return the in-progress entry.  Thread-safe: concurrent calls
-        build each library exactly once; a thread needing a library under
-        construction elsewhere waits for it.
+        computed before the schema body, so a re-entrant call for a library
+        still being built returns the in-progress entry.
         """
         key = self._memo_key(library, root)
-        while True:
-            with self._lock:
-                failure = self._failed.get(key)
-                if failure is not None:
-                    # Collect mode: a library that already failed this run
-                    # poisons its importers instead of being retried.
-                    raise GenerationError(
-                        f"{library.stereotype} {library.name!r} failed earlier "
-                        f"in this run: {failure.error}"
-                    ) from failure.error
-                existing = self._generated.get(key)
-                if existing is not None:
-                    self._memo_hits.inc()
-                    self._run_keys[key] = None
-                    return existing
-                building = self._building.get(key)
-                if building is None:
-                    self._building[key] = (threading.get_ident(), threading.Event())
-                    break
-                owner, event = building
-                if owner == threading.get_ident():
-                    # Cycle: hand back namespace facts with a placeholder schema.
-                    namespace = self.policy.namespace_for(library)
-                    placeholder = GeneratedSchema(library, namespace, Schema(namespace.urn))
-                    self._generated[key] = placeholder
-                    self._run_keys[key] = None
-                    return placeholder
-            # Another thread is building this library; wait and re-check.
-            event.wait()
+        failure = self._failed.get(key)
+        if failure is not None:
+            # Collect mode: a library that already failed this run
+            # poisons its importers instead of being retried.
+            raise GenerationError(
+                f"{library.stereotype} {library.name!r} failed earlier "
+                f"in this run: {failure.error}"
+            ) from failure.error
+        existing = self._generated.get(key)
+        if existing is not None:
+            self._memo_hits.inc()
+            self._run_keys[key] = None
+            return existing
+        if key in self._building:
+            # Cycle: hand back namespace facts with a placeholder schema.
+            namespace = self.policy.namespace_for(library)
+            placeholder = GeneratedSchema(library, namespace, Schema(namespace.urn))
+            self._generated[key] = placeholder
+            self._run_keys[key] = None
+            return placeholder
+        self._building.add(key)
         self._memo_misses.inc()
         try:
             generated, dep_keys = self._obtain(library, root, key)
         except ReproError as error:
-            with self._lock:
-                # Drop any placeholder a cycle installed for the failed build
-                # so a half-built schema never reaches a result or the cache.
-                self._generated.pop(key, None)
-                self._run_keys.pop(key, None)
+            # Drop any placeholder a cycle installed for the failed build
+            # so a half-built schema never reaches a result or the cache.
+            self._generated.pop(key, None)
+            self._run_keys.pop(key, None)
             if self.options.on_error == "collect":
                 self._record_failure(key, library, error)
             raise
         finally:
-            with self._lock:
-                _, event = self._building.pop(key)
-            event.set()
-        with self._lock:
-            # A cycle may have installed a placeholder; replace its schema body.
-            placeholder = self._generated.get(key)
-            if placeholder is not None:
-                placeholder.schema = generated.schema
-                placeholder.provenance = generated.provenance
-                placeholder.embed_provenance = generated.embed_provenance
-                generated = placeholder
-            else:
-                self._generated[key] = generated
-            self._deps[key] = dep_keys
-            self._run_keys[key] = None
+            self._building.discard(key)
+        # A cycle may have installed a placeholder; replace its schema body.
+        placeholder = self._generated.get(key)
+        if placeholder is not None:
+            placeholder.schema = generated.schema
+            placeholder.provenance = generated.provenance
+            placeholder.embed_provenance = generated.embed_provenance
+            generated = placeholder
+        else:
+            self._generated[key] = generated
+        self._deps[key] = dep_keys
+        self._run_keys[key] = None
         return generated
 
     def _obtain(
@@ -710,55 +674,54 @@ class SchemaGenerator:
         partner fails) -- those schemas would carry dangling imports, so
         they are withdrawn from the run and marked failed too.
         """
-        cascaded: list[LibraryFailure] = []
-        with self._lock:
-            if key in self._failed:
-                return
-            # An error that propagated out of a failed dependency's build is
-            # re-labelled as an import failure so the chain reads causally.
-            culprit = next(
-                (f for f in self._failed.values() if f.error is error), None
+        if key in self._failed:
+            return
+        # An error that propagated out of a failed dependency's build is
+        # re-labelled as an import failure so the chain reads causally.
+        culprit = next(
+            (f for f in self._failed.values() if f.error is error), None
+        )
+        if culprit is not None:
+            chained = GenerationError(
+                f"{library.stereotype} {library.name!r} imports failed "
+                f"library {culprit.library_name!r}"
             )
-            if culprit is not None:
+            chained.__cause__ = error
+            error = chained
+        elif not isinstance(error, GenerationError):
+            wrapped = GenerationError(
+                f"building {library.stereotype} {library.name!r} failed: {error}"
+            )
+            wrapped.__cause__ = error
+            error = wrapped
+        failure = LibraryFailure(library.name, library.stereotype, key[1], error)
+        self._failed[key] = failure
+        cascaded: list[LibraryFailure] = []
+        changed = True
+        while changed:
+            changed = False
+            for built_key, deps in list(self._deps.items()):
+                if built_key in self._failed:
+                    continue
+                if not any(dep in self._failed for dep in deps):
+                    continue
+                poisoned = self._generated.pop(built_key, None)
+                self._run_keys.pop(built_key, None)
+                if poisoned is None:
+                    continue
                 chained = GenerationError(
-                    f"{library.stereotype} {library.name!r} imports failed "
-                    f"library {culprit.library_name!r}"
+                    f"{poisoned.library.stereotype} {poisoned.library.name!r} "
+                    f"imports failed library {library.name!r}"
                 )
-                chained.__cause__ = error
-                error = chained
-            elif not isinstance(error, GenerationError):
-                wrapped = GenerationError(
-                    f"building {library.stereotype} {library.name!r} failed: {error}"
+                chained.__cause__ = failure.error
+                self._failed[built_key] = LibraryFailure(
+                    poisoned.library.name,
+                    poisoned.library.stereotype,
+                    built_key[1],
+                    chained,
                 )
-                wrapped.__cause__ = error
-                error = wrapped
-            failure = LibraryFailure(library.name, library.stereotype, key[1], error)
-            self._failed[key] = failure
-            changed = True
-            while changed:
-                changed = False
-                for built_key, deps in list(self._deps.items()):
-                    if built_key in self._failed:
-                        continue
-                    if not any(dep in self._failed for dep in deps):
-                        continue
-                    poisoned = self._generated.pop(built_key, None)
-                    self._run_keys.pop(built_key, None)
-                    if poisoned is None:
-                        continue
-                    chained = GenerationError(
-                        f"{poisoned.library.stereotype} {poisoned.library.name!r} "
-                        f"imports failed library {library.name!r}"
-                    )
-                    chained.__cause__ = failure.error
-                    self._failed[built_key] = LibraryFailure(
-                        poisoned.library.name,
-                        poisoned.library.stereotype,
-                        built_key[1],
-                        chained,
-                    )
-                    cascaded.append(self._failed[built_key])
-                    changed = True
+                cascaded.append(self._failed[built_key])
+                changed = True
         counter("xsdgen.library_failures", stereotype=library.stereotype).inc()
         self.session.status(f"ERROR: {failure}")
         _log.warning("library build failed: %s", failure)
@@ -776,13 +739,12 @@ class SchemaGenerator:
         ones, in first-touch order.  Equals the reachable set when nothing
         failed, and never leaks schemas from a previous run.
         """
-        with self._lock:
-            keys = [key for key in self._run_keys if key not in self._failed]
-            return {
-                generated.namespace.urn: generated
-                for key in keys
-                if (generated := self._generated.get(key)) is not None
-            }
+        return {
+            generated.namespace.urn: generated
+            for key in self._run_keys
+            if key not in self._failed
+            and (generated := self._generated.get(key)) is not None
+        }
 
     def _reachable_schemas(self, library: Library, root: "Abie | str | None") -> dict[str, GeneratedSchema]:
         """The schemas transitively reachable from the requested library."""
@@ -804,27 +766,17 @@ class SchemaGenerator:
                 schemas[generated.namespace.urn] = generated
         return schemas
 
-    # -- parallel builds ------------------------------------------------------------
+    # -- collect-mode prebuild -----------------------------------------------------
 
-    def _parallel_prebuild(self, library: Library, root: "Abie | str | None", jobs: int) -> None:
-        """Build the reachable library DAG concurrently (``--jobs N``).
+    def _prebuild(self, library: Library, root: "Abie | str | None") -> None:
+        """Build the reachable library graph dependencies-first (collect mode).
 
-        The graph is discovered structurally, condensed into SCCs (cyclic
-        libraries build together, preserving the single-thread cycle
-        handling) and scheduled dependencies-first, so no worker ever waits
-        on another thread's in-flight build.  The subsequent serial pass in
-        :meth:`generate` then assembles the result purely from memo hits.
-
-        Small models fall back to a serial loop: when fewer
-        cache-miss-eligible libraries than ``min_parallel_libraries``
-        (default ``2 * jobs``) are reachable, thread-pool setup costs more
-        than it saves, so the components build in dependency order on the
-        calling thread and ``xsdgen.parallel_fallback`` counts the skip.
-
-        Worker threads run inside a :func:`contextvars.copy_context`
-        snapshot taken at submit time, so the ``xsdgen.parallel`` span
-        active here is the active span *inside* the worker too -- library
-        build spans parent under it instead of surfacing as orphan roots.
+        The graph is discovered structurally and condensed into SCCs
+        (cyclic libraries build together, through the cycle handling of
+        :meth:`ensure_library`), so a failing library is recorded without
+        hiding the independent libraries a plain recursive build would only
+        have discovered through it.  The subsequent pass in
+        :meth:`generate` then assembles the result from memo hits.
         """
         graph: dict[int, tuple[Library, list[int]]] = {}
 
@@ -842,124 +794,23 @@ class SchemaGenerator:
         discover(library)
         if len(graph) < 2:
             return
-        components = _strongly_connected({node: deps for node, (_, deps) in graph.items()})
-        component_of = {node: index for index, comp in enumerate(components) for node in comp}
-        dependents: dict[int, set[int]] = {index: set() for index in range(len(components))}
-        indegree = [0] * len(components)
-        for index, comp in enumerate(components):
-            upstream = {
-                component_of[dep]
-                for node in comp
-                for dep in graph[node][1]
-                if component_of[dep] != index
-            }
-            indegree[index] = len(upstream)
-            for up in upstream:
-                dependents[up].add(index)
-
         entry_node = id(library.element)
-
-        def build_component(index: int) -> None:
-            for node in components[index]:
-                candidate = graph[node][0]
-                self.ensure_library(candidate, root if node == entry_node else None)
-
-        eligible = self._eligible_builds(graph, entry_node, root)
-        threshold = self.options.min_parallel_libraries
-        if threshold is None:
-            threshold = 2 * jobs
-        if jobs <= 1 or eligible < threshold:
-            if jobs > 1:
-                counter("xsdgen.parallel_fallback").inc()
-                _log.debug(
-                    "serial fallback: %d eligible librar%s below threshold %d (jobs=%d)",
-                    eligible, "y" if eligible == 1 else "ies", threshold, jobs,
-                )
-            with span(
-                "xsdgen.parallel",
-                libraries=len(graph), jobs=jobs, eligible=eligible, mode="serial",
+        with span("xsdgen.prebuild", libraries=len(graph)):
+            # Tarjan emits components dependencies-first, so an in-order
+            # loop never builds an importer before its imports.
+            for component in _strongly_connected(
+                {node: deps for node, (_, deps) in graph.items()}
             ):
-                # Tarjan emits components dependencies-first, so an
-                # in-order loop never builds an importer before its imports.
-                for index in range(len(components)):
-                    try:
-                        build_component(index)
-                    except ReproError:
-                        if self.options.on_error != "collect":
-                            raise
-            return
-        ready = [index for index in range(len(components)) if indegree[index] == 0]
-        pending: dict[Future, int] = {}
-        with span(
-            "xsdgen.parallel",
-            libraries=len(graph), jobs=jobs, eligible=eligible, mode="threads",
-        ):
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                while ready or pending:
-                    for index in ready:
-                        # Snapshot the trace context (the open xsdgen.parallel
-                        # span) per submit; Context.run is single-flight, so
-                        # each task needs its own copy.
-                        task_context = contextvars.copy_context()
-                        pending[pool.submit(task_context.run, build_component, index)] = index
-                    ready = []
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        finished = pending.pop(future)
-                        try:
-                            future.result()
-                        except ReproError:
-                            if self.options.on_error != "collect":
-                                raise
-                            # Already recorded by ensure_library; dependent
-                            # components still run and fail fast into the
-                            # collected failures, independent ones build on.
-                        for dependent in sorted(dependents[finished]):
-                            indegree[dependent] -= 1
-                            if indegree[dependent] == 0:
-                                ready.append(dependent)
-
-    def _worth_prebuilding(self) -> bool:
-        """Cheap preflight for ``jobs > 1``: can parallelism possibly pay?
-
-        The model's schema-capable library count (a memoized scan) bounds
-        the reachable graph from above, so when even that sits below the
-        parallel threshold the structural dependency discovery inside
-        :meth:`_parallel_prebuild` is pure overhead -- exactly what made
-        the ``parallel_jobs4`` bench arm lose to ``cold`` on small models.
-        """
-        threshold = self.options.min_parallel_libraries
-        if threshold is None:
-            threshold = 2 * self.options.jobs
-        if threshold == 0:
-            return True
-        total = sum(
-            1
-            for candidate in self.model.libraries()
-            if candidate.stereotype in _SCHEMA_STEREOTYPES
-        )
-        return total >= threshold
-
-    def _eligible_builds(
-        self, graph: dict[int, tuple[Library, list[int]]], entry_node: int, root: "Abie | str | None"
-    ) -> int:
-        """How many reachable libraries this run will actually *build*.
-
-        Libraries the cache can replay are cheap memo work, not thread
-        fodder, so they do not count toward the parallelism threshold.
-        Uses :meth:`GenerationCache.contains` -- a planning peek that
-        leaves the hit/miss counters and LRU order untouched.
-        """
-        if self.cache is None:
-            return len(graph)
-        eligible = 0
-        for node, (candidate, _) in graph.items():
-            if candidate.stereotype == PRIM_LIBRARY:
-                continue
-            key = self._memo_key(candidate, root if node == entry_node else None)
-            if not self.cache.contains(self._fingerprint_for(candidate, key)):
-                eligible += 1
-        return eligible
+                try:
+                    for node in component:
+                        self.ensure_library(
+                            graph[node][0], root if node == entry_node else None
+                        )
+                except ReproError:
+                    # Already recorded by ensure_library; dependent
+                    # components fail fast into the collected failures,
+                    # independent ones build on.
+                    pass
 
     # -- single-library build -------------------------------------------------------
 
@@ -1017,7 +868,7 @@ def _strongly_connected(nodes: dict[int, list[int]]) -> list[list[int]]:
     """Tarjan's SCC over ``node -> dependency nodes``; edges to unknown
     nodes are ignored.  Components come out dependencies-first (reverse
     topological order of the condensation), which is exactly the build
-    order the parallel scheduler needs.
+    order the collect-mode prebuild needs.
     """
     index: dict[int, int] = {}
     low: dict[int, int] = {}

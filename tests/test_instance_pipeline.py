@@ -7,8 +7,8 @@ Two contracts under test:
   documents of both catalog corpora (property-based over generator and
   mutation parameters);
 * the pipeline -- corpus discovery, per-document fault isolation,
-  byte-identical reports across engines and job counts, fail-fast,
-  compilation caching and the CLI surface.
+  byte-identical reports across engines, fail-fast, the nesting-depth
+  limit, compilation caching and the CLI surface.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from repro.instances import (
 from repro.errors import InstanceValidationError
 from repro.instances.pipeline import BatchReport, DocumentReport
 from repro.xmlutil.writer import XmlWriter
+from repro.xsd.parser import parse_schema
+from repro.xsd.validator import MAX_INSTANCE_DEPTH, SchemaSet
 from repro.xsd import (
     CompilationCache,
     CompiledSchemaSet,
@@ -234,20 +236,15 @@ def _write_corpus(schema_set, root, directory, count=8, invalid_every=4):
 
 
 class TestValidationPipeline:
-    def test_reports_byte_identical_across_engines_and_jobs(
-        self, corpora, tmp_path
-    ):
+    def test_reports_byte_identical_across_engines(self, corpora, tmp_path):
         schema_set, root = corpora["easybiz"]
         _write_corpus(schema_set, root, tmp_path)
         serialized = {
             json.dumps(
-                ValidationPipeline(schema_set, engine=engine, jobs=jobs)
-                .run(tmp_path)
-                .to_json(),
+                ValidationPipeline(schema_set, engine=engine).run(tmp_path).to_json(),
                 sort_keys=True,
             )
             for engine in ("compiled", "interpreted")
-            for jobs in (1, 4)
         }
         assert len(serialized) == 1
 
@@ -274,7 +271,7 @@ class TestValidationPipeline:
     def test_fail_fast_stops_at_first_invalid(self, corpora, tmp_path):
         schema_set, root = corpora["easybiz"]
         _write_corpus(schema_set, root, tmp_path, count=6, invalid_every=3)
-        report = ValidationPipeline(schema_set, fail_fast=True, jobs=4).run(tmp_path)
+        report = ValidationPipeline(schema_set, fail_fast=True).run(tmp_path)
         # doc002 is the first invalid one; nothing after it was validated.
         assert [doc.path.rsplit("/", 1)[-1] for doc in report.documents] == [
             "doc000.xml",
@@ -321,6 +318,95 @@ class TestValidationPipeline:
         assert snapshot["instances.validate_ms"]["count"] == 4
 
 
+# -- the nesting-depth limit ---------------------------------------------------
+
+_NEST_NS = "urn:test:nest"
+
+#: A directly recursive type: <a> may hold one <a>, so any depth is valid
+#: and validation itself recurses once per level in both engines.
+_NEST_SCHEMA = f"""<?xml version="1.0"?>
+<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema" xmlns:t="{_NEST_NS}"
+    targetNamespace="{_NEST_NS}" elementFormDefault="qualified">
+  <xs:element name="a" type="t:AType"/>
+  <xs:complexType name="AType">
+    <xs:sequence><xs:element ref="t:a" minOccurs="0"/></xs:sequence>
+  </xs:complexType>
+</xs:schema>
+"""
+
+
+_EASYBIZ_DOC_NS = "urn:au:gov:vic:easybiz:data:draft:EB005-HoardingPermit"
+
+
+def _nested(levels, tag="HoardingPermit", namespace=_EASYBIZ_DOC_NS):
+    """``levels`` elements deep: the root start tag alone on line 1, then
+    ``<a>`` elements nested on line 2."""
+    inner = levels - 1
+    return f'<{tag} xmlns="{namespace}">\n' + "<a>" * inner + "</a>" * inner + f"</{tag}>"
+
+
+class TestNestingDepthLimit:
+    """Documents nested past MAX_INSTANCE_DEPTH get one located error entry
+    in either engine; the rest of the batch still validates."""
+
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("levels", [255, 256, 257, 500])
+    def test_one_entry_per_document(self, corpora, engine, levels):
+        schema_set, root = corpora["easybiz"]
+        valid = XmlWriter().to_string(InstanceGenerator(schema_set).generate(root))
+        report = ValidationPipeline(schema_set, engine=engine).run_strings(
+            [("deep.xml", _nested(levels)), ("valid.xml", valid)]
+        )
+        assert [doc.path for doc in report.documents] == ["deep.xml", "valid.xml"]
+        deep, after = report.documents
+        assert after.ok and after.error is None
+        assert not deep.ok
+        if levels <= MAX_INSTANCE_DEPTH:
+            # Accepted by the parser; the schema then rejects the <a> child.
+            assert deep.error is None and deep.problems
+        else:
+            # The first start tag past the limit: line 2, after 255 "<a>"s.
+            column = 3 * (MAX_INSTANCE_DEPTH - 1) + 1
+            assert deep.error == (
+                f"document nests deeper than {MAX_INSTANCE_DEPTH} elements: "
+                f"line 2, column {column}"
+            )
+
+    @pytest.mark.parametrize("levels", [255, 256, 257, 500])
+    def test_engines_report_identically(self, corpora, levels):
+        schema_set, _ = corpora["easybiz"]
+        reports = {
+            json.dumps(
+                ValidationPipeline(schema_set, engine=engine)
+                .run_strings([("deep.xml", _nested(levels))])
+                .to_json()
+            )
+            for engine in ("compiled", "interpreted")
+        }
+        assert len(reports) == 1
+
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    def test_recursive_type_validates_at_the_limit(self, engine):
+        schema_set = SchemaSet([parse_schema(_NEST_SCHEMA)])
+        pipeline = ValidationPipeline(schema_set, engine=engine)
+        report = pipeline.run_strings(
+            [
+                ("limit.xml", _nested(MAX_INSTANCE_DEPTH, "a", _NEST_NS)),
+                ("past.xml", _nested(MAX_INSTANCE_DEPTH + 1, "a", _NEST_NS)),
+            ]
+        )
+        limit, past = report.documents
+        assert limit.ok, limit
+        assert past.error and "nests deeper than" in past.error
+
+    def test_direct_validation_raises_located_error(self, corpora):
+        schema_set, _ = corpora["easybiz"]
+        with pytest.raises(InstanceValidationError, match="line 2, column"):
+            validate_instance(schema_set, _nested(MAX_INSTANCE_DEPTH + 1))
+        with pytest.raises(InstanceValidationError, match="line 2, column"):
+            compile_schema_set(schema_set).validate(_nested(MAX_INSTANCE_DEPTH + 1))
+
+
 # -- the CLI surface -----------------------------------------------------------
 
 
@@ -354,8 +440,6 @@ class TestValidateInstancesCli:
                 "validate-instances",
                 str(schemas_dir),
                 str(corpus_dir),
-                "--jobs",
-                "4",
                 "--report",
                 "json",
             ]

@@ -10,6 +10,8 @@ this file pins the behavioral contracts at tier-1 scale:
 * warm-cache reuse across requests,
 * backpressure (503 + ``Retry-After``), per-request timeouts (504),
 * graceful drain with zero dropped responses,
+* deep documents answered with located entries, and keep-alive round
+  trips free of the delayed-ACK stall,
 * the ``serve.*`` metrics.
 """
 
@@ -195,6 +197,64 @@ class TestEndpointContracts:
             [parse_schema(text) for text in generated["schemas"].values()]
         )
         return InstanceGenerator(schema_set).generate_string("HoardingPermit")
+
+
+def _nested(levels):
+    """A HoardingPermit ``levels`` elements deep; the nesting on line 2."""
+    inner = levels - 1
+    return (
+        '<HoardingPermit xmlns="urn:au:gov:vic:easybiz:data:draft:EB005-HoardingPermit">\n'
+        + "<a>" * inner + "</a>" * inner + "</HoardingPermit>"
+    )
+
+
+class TestDeepNesting:
+    """A document nested past MAX_INSTANCE_DEPTH is one located report
+    entry: the batch answers 200 and the daemon stays healthy."""
+
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    def test_deep_documents_get_located_entries(self, server, easybiz_xmi, engine):
+        generated = _generate(server, easybiz_xmi)
+        valid = TestEndpointContracts._instance(generated)
+        depths = (255, 256, 257, 500)
+        documents = [{"name": f"deep{levels}.xml", "xml": _nested(levels)} for levels in depths]
+        documents.append({"name": "valid.xml", "xml": valid})
+        status, report = request_json(
+            server.url,
+            "/validate",
+            {"schema_set": generated["schema_set"], "engine": engine,
+             "documents": documents},
+        )
+        assert status == 200, report
+        entries = {entry["path"]: entry for entry in report["documents"]}
+        assert list(entries) == [document["name"] for document in documents]
+        for levels in (255, 256):
+            assert "error" not in entries[f"deep{levels}.xml"]
+        located = "document nests deeper than 256 elements: line 2, column 766"
+        for levels in (257, 500):
+            assert entries[f"deep{levels}.xml"]["error"] == located
+        assert entries["valid.xml"]["ok"] is True
+        assert request_json(server.url, "/healthz") == (200, {"status": "ok"})
+
+
+class TestKeepAlive:
+    def test_keepalive_round_trips_skip_the_delayed_ack(self, server):
+        # The handler writes headers and body in two sends; with Nagle on,
+        # the body waits for the client's delayed ACK (~40 ms a response).
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        round_trips = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                round_trips.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        median_ms = sorted(round_trips)[len(round_trips) // 2] * 1000.0
+        assert median_ms < 20.0, f"median keep-alive round trip {median_ms:.1f} ms"
 
 
 class TestCliByteIdentity:

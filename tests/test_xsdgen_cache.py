@@ -1,4 +1,4 @@
-"""Unit tests for the generation cache: fingerprints, LRU, disk, parallel."""
+"""Unit tests for the generation cache: fingerprints, LRU, disk."""
 
 import pytest
 
@@ -205,62 +205,3 @@ class TestDiskCache:
             SchemaGenerator(easybiz.model, options, cache=doctored).generate(
                 easybiz.doc_library, root="HoardingPermit"
             )
-
-
-class TestParallelGeneration:
-    def test_parallel_output_matches_serial(self, easybiz):
-        serial = SchemaGenerator(easybiz.model).generate(
-            easybiz.doc_library, root="HoardingPermit"
-        )
-        parallel = SchemaGenerator(easybiz.model, GenerationOptions(jobs=4)).generate(
-            easybiz.doc_library, root="HoardingPermit"
-        )
-        assert _schema_texts(parallel) == _schema_texts(serial)
-
-    def test_parallel_with_cache(self, easybiz):
-        cache = GenerationCache()
-        options = GenerationOptions(jobs=4, use_cache=True)
-        first = SchemaGenerator(easybiz.model, options, cache=cache).generate(
-            easybiz.doc_library, root="HoardingPermit"
-        )
-        second = SchemaGenerator(easybiz.model, options, cache=cache).generate(
-            easybiz.doc_library, root="HoardingPermit"
-        )
-        assert _schema_texts(second) == _schema_texts(first)
-
-    def test_parallel_cyclic_libraries(self):
-        # Reuse the cyclic two-BIE-library construction; the SCC condensation
-        # must keep the cycle on one thread and match the serial output.
-        from repro.ccts.derivation import derive_abie
-        from repro.ccts.model import CctsModel
-
-        def build():
-            model = CctsModel("Cyclic")
-            business = model.add_business_library("B", "urn:cyc")
-            prims = business.add_prim_library("P")
-            string = prims.add_primitive("String")
-            cdts = business.add_cdt_library("D")
-            text = cdts.add_cdt("Text")
-            text.set_content(string.element)
-            ccs = business.add_cc_library("C")
-            a_acc = ccs.add_acc("A")
-            a_acc.add_bcc("Name", text, "0..1")
-            b_acc = ccs.add_acc("B")
-            b_acc.add_bcc("Name", text, "0..1")
-            a_acc.add_ascc("Linked", b_acc, "0..1")
-            b_acc.add_ascc("Back", a_acc, "0..1")
-            lib1 = business.add_bie_library("L1")
-            lib2 = business.add_bie_library("L2")
-            a = derive_abie(lib1, a_acc)
-            a.include("Name", "0..1")
-            b = derive_abie(lib2, b_acc)
-            b.include("Name", "0..1")
-            a.connect("Linked", b.abie, "0..1", based_on="Linked")
-            b.connect("Back", a.abie, "0..1", based_on="Back")
-            return model, lib1
-
-        model, lib1 = build()
-        serial = SchemaGenerator(model).generate(lib1)
-        model2, lib1_again = build()
-        parallel = SchemaGenerator(model2, GenerationOptions(jobs=3)).generate(lib1_again)
-        assert _schema_texts(parallel) == _schema_texts(serial)

@@ -2,7 +2,10 @@
 
 import pytest
 
+import repro.xsdgen.bie_library
 import repro.xsdgen.qdt_library
+from repro.ccts.derivation import derive_abie
+from repro.ccts.model import CctsModel
 from repro.errors import GenerationError
 from repro.xsdgen import (
     GenerationCache,
@@ -36,6 +39,37 @@ def fresh_cache():
 def collect_generator(model, **overrides):
     options = GenerationOptions(on_error="collect", **overrides)
     return SchemaGenerator(model, options)
+
+
+def _schema_texts(result):
+    return {urn: generated.to_string() for urn, generated in result.schemas.items()}
+
+
+def _cyclic_model():
+    """Two BIE libraries importing each other (L1 <-> L2) over a CDT library."""
+    model = CctsModel("Cyclic")
+    business = model.add_business_library("B", "urn:cyc")
+    prims = business.add_prim_library("P")
+    string = prims.add_primitive("String")
+    cdts = business.add_cdt_library("D")
+    text = cdts.add_cdt("Text")
+    text.set_content(string.element)
+    ccs = business.add_cc_library("C")
+    a_acc = ccs.add_acc("A")
+    a_acc.add_bcc("Name", text, "0..1")
+    b_acc = ccs.add_acc("B")
+    b_acc.add_bcc("Name", text, "0..1")
+    a_acc.add_ascc("Linked", b_acc, "0..1")
+    b_acc.add_ascc("Back", a_acc, "0..1")
+    lib1 = business.add_bie_library("L1")
+    lib2 = business.add_bie_library("L2")
+    a = derive_abie(lib1, a_acc)
+    a.include("Name", "0..1")
+    b = derive_abie(lib2, b_acc)
+    b.include("Name", "0..1")
+    a.connect("Linked", b.abie, "0..1", based_on="Linked")
+    b.connect("Back", a.abie, "0..1", based_on="Back")
+    return model, lib1
 
 
 class TestOnErrorOption:
@@ -105,17 +139,34 @@ class TestCollectIsolation:
         assert set(collected.schemas) == set(plain.schemas)
         assert collected.root.to_string() == plain.root.to_string()
 
-    def test_parallel_collect_matches_serial(self, easybiz, broken_qdt):
-        serial = collect_generator(easybiz.model).generate(
-            easybiz.doc_library, root="HoardingPermit"
-        )
-        parallel = collect_generator(easybiz.model, jobs=4).generate(
-            easybiz.doc_library, root="HoardingPermit"
-        )
-        assert set(parallel.schemas) == set(serial.schemas)
-        assert {f.library_name for f in parallel.errors} == {
-            f.library_name for f in serial.errors
-        }
+    def test_cyclic_libraries_match_raise_mode(self):
+        # The prebuild condenses the L1 <-> L2 import cycle into one
+        # strongly connected component; its output must equal the plain
+        # recursive build's.
+        model, lib1 = _cyclic_model()
+        plain = SchemaGenerator(model).generate(lib1)
+        model2, lib1_again = _cyclic_model()
+        collected = collect_generator(model2).generate(lib1_again)
+        assert collected.errors == []
+        assert _schema_texts(collected) == _schema_texts(plain)
+        assert len(collected.schemas) == 3
+
+    def test_cycle_member_failure_withdraws_the_cycle(self, monkeypatch):
+        # A failing member of an import cycle takes its partner with it
+        # (the partner's schema would import a schema that does not
+        # exist); the CDT library outside the cycle still builds.
+        real_build = repro.xsdgen.bie_library.build
+
+        def explode_on_l2(builder):
+            if builder.library.name == "L2":
+                raise GenerationError("sabotaged L2 build")
+            real_build(builder)
+
+        monkeypatch.setattr(repro.xsdgen.bie_library, "build", explode_on_l2)
+        model, lib1 = _cyclic_model()
+        result = collect_generator(model).generate(lib1)
+        assert {failure.library_name for failure in result.errors} == {"L1", "L2"}
+        assert {schema.library.name for schema in result.schemas.values()} == {"D"}
 
     def test_generator_recovers_once_fault_is_fixed(self, easybiz, monkeypatch):
         def explode(builder):

@@ -1,15 +1,12 @@
 #!/usr/bin/env python
 """The perf-trajectory tool: bench medians, history, baseline compare, profiles.
 
-Runs the easybiz catalog's end-to-end generation in three arms --
+Runs the easybiz catalog's end-to-end generation in two arms --
 
 * **cold** -- a fresh :class:`SchemaGenerator` per run, no cache,
 * **warm** -- fresh generators sharing a pre-warmed
   :class:`~repro.xsdgen.cache.GenerationCache` (a second CLI invocation
   or long-lived service),
-* **parallel** -- cold builds with ``jobs=4`` (byte-identical output;
-  small models take the serial fallback, which is the point being
-  measured),
 
 and writes ``BENCH_end_to_end.json``: per-arm median milliseconds over
 ``--repeats`` runs plus schema/byte counts.  Beyond the snapshot report
@@ -100,20 +97,15 @@ def _arms() -> list[tuple[str, object]]:
             library, root=ROOT_NAME
         )
 
-    parallel_options = GenerationOptions(validate_first=False, jobs=4)
-
-    def parallel():
-        return SchemaGenerator(model, parallel_options).generate(library, root=ROOT_NAME)
-
-    return [("cold", cold), ("warm_cache", warm), ("parallel_jobs4", parallel)]
+    return [("cold", cold), ("warm_cache", warm)]
 
 
 def _instance_arms(corpus_root: Path) -> list[tuple[str, object]]:
     """Instance-validation arms over a generated 200-document corpus.
 
-    Mirrors ``benchmarks/bench_instance_throughput.py``: the uncompiled
-    serial path is the baseline the compiled/parallel arms are graded
-    against (the ISSUE-7 acceptance bar is compiled+parallel >= 3x).
+    Mirrors ``benchmarks/bench_instance_throughput.py``: the interpreted
+    path is the baseline the compiled arm is graded against (the
+    acceptance bar is compiled >= 3x).
     """
     from repro.instances import InstanceGenerator, ValidationPipeline, add_unknown_child
     from repro.xmlutil.writer import XmlWriter
@@ -137,14 +129,13 @@ def _instance_arms(corpus_root: Path) -> list[tuple[str, object]]:
             writer.to_string(document), encoding="utf-8"
         )
 
-    def arm(engine: str, jobs: int):
-        pipeline = ValidationPipeline(schema_set, engine=engine, jobs=jobs)
+    def arm(engine: str):
+        pipeline = ValidationPipeline(schema_set, engine=engine)
         return lambda: pipeline.run(corpus)
 
     return [
-        ("validate_interpreted_serial", arm("interpreted", 1)),
-        ("validate_compiled_serial", arm("compiled", 1)),
-        ("validate_compiled_jobs4", arm("compiled", 4)),
+        ("validate_interpreted_serial", arm("interpreted")),
+        ("validate_compiled_serial", arm("compiled")),
     ]
 
 
